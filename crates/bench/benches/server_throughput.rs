@@ -1,7 +1,7 @@
 //! Serving-layer benchmark: requests/sec through the framed TCP server
 //! vs. client count, the protocol's overhead vs. in-process
 //! `Qbs::submit`, the cost of hundreds of parked idle connections, and
-//! the payoff of v2 pipelining over one connection.
+//! the payoff of pipelining over one connection.
 //!
 //! The reactor tentpole's measurement contract:
 //!
@@ -274,7 +274,7 @@ fn bench_server_throughput(c: &mut Criterion) {
     // whole pairs duplicate. The batch execution planner behind the
     // session's submit coalesces those duplicates and shares forward-BFS
     // state across same-source runs; here the same Zipf batches flow
-    // through the full wire path (v2 pipelined client, mmap-backed
+    // through the full wire path (pipelined client, mmap-backed
     // session) and must stay bit-identical to in-process submit.
     let zipf_batches: Vec<Vec<QueryRequest>> = zipf_workload
         .chunks(BATCH)

@@ -170,7 +170,7 @@ impl Table2 {
         );
         let query_methods = ["QbS", "PPL", "ParentPPL", "Bi-BFS"];
         let mut query = TextTable::new(
-            "Table 2b: average query time (ms)",
+            "Table 2b: average query time",
             &[&["Dataset"], &query_methods[..]].concat(),
         );
         for row in &self.rows {
@@ -501,7 +501,7 @@ impl LandmarkSweep {
 
     /// Figure 11 rendering: average query time.
     pub fn render_fig11(&self) -> String {
-        self.render_metric("Figure 11: avg query time (ms) vs |R|", |p| {
+        self.render_metric("Figure 11: avg query time vs |R|", |p| {
             fmt_millis(p.avg_query_ms)
         })
     }
@@ -687,7 +687,7 @@ impl ViewServing {
     pub fn render(&self) -> String {
         let mut t = TextTable::new(
             "View serving: owned engine vs mmap-backed view engine",
-            &["Dataset", "pairs", "owned ms", "view ms", "identical"],
+            &["Dataset", "pairs", "owned", "view", "identical"],
         );
         for r in &self.rows {
             t.add_row(vec![
@@ -1018,8 +1018,8 @@ impl MixedBatch {
                 "Dataset",
                 "requests",
                 "errors",
-                "cold ms",
-                "warm ms",
+                "cold",
+                "warm",
                 "speedup",
                 "hit rate",
                 "identical",
@@ -2095,8 +2095,8 @@ impl Ablation {
             "Ablation: landmark strategy and parallel labelling",
             &[
                 "Dataset",
-                "deg query(ms)",
-                "rand query(ms)",
+                "deg query",
+                "rand query",
                 "deg coverage",
                 "rand coverage",
                 "seq build(s)",

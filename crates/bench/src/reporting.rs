@@ -78,12 +78,14 @@ pub fn fmt_seconds(seconds: f64) -> String {
     }
 }
 
-/// Formats milliseconds with the precision used by Table 2's query columns.
+/// Formats milliseconds with the precision used by Table 2's query
+/// columns. Every value carries its unit, so microsecond and millisecond
+/// rows can share a column.
 pub fn fmt_millis(ms: f64) -> String {
     if ms < 0.01 {
         format!("{:.1}us", ms * 1e3)
     } else {
-        format!("{ms:.3}")
+        format!("{ms:.3}ms")
     }
 }
 
@@ -156,7 +158,8 @@ mod tests {
         assert_eq!(fmt_seconds(1.234567), "1.235");
         assert_eq!(fmt_seconds(123.4), "123.4");
         assert_eq!(fmt_millis(0.005), "5.0us");
-        assert_eq!(fmt_millis(1.23456), "1.235");
+        assert_eq!(fmt_millis(1.23456), "1.235ms");
+        assert_eq!(fmt_millis(0.011), "0.011ms");
         assert_eq!(fmt_bytes(512), "512B");
         assert_eq!(fmt_bytes(2048), "2.0KB");
         assert_eq!(fmt_bytes(3 * 1024 * 1024), "3.00MB");

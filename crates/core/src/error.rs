@@ -20,6 +20,15 @@ pub enum QbsError {
     /// A dedicated thread pool (parallel labelling, batch query engine)
     /// could not be created or was misconfigured.
     ThreadPool(String),
+    /// A label distance does not fit the 16-bit labelling: some vertex
+    /// lies farther than [`crate::labelling::MAX_LABEL_DISTANCE`] hops
+    /// from a landmark whose label it would carry.
+    LabelOverflow {
+        /// The largest label distance the build produced.
+        distance: u64,
+        /// The largest distance a label entry can hold.
+        limit: u64,
+    },
     /// Underlying I/O failure while persisting or loading an index.
     Io(std::io::Error),
 }
@@ -37,6 +46,11 @@ impl fmt::Display for QbsError {
             QbsError::InvalidLandmarks(msg) => write!(f, "invalid landmark set: {msg}"),
             QbsError::Corrupt(msg) => write!(f, "corrupt index data: {msg}"),
             QbsError::ThreadPool(msg) => write!(f, "thread pool error: {msg}"),
+            QbsError::LabelOverflow { distance, limit } => write!(
+                f,
+                "label distance {distance} exceeds the {limit}-hop limit of the 16-bit \
+                 labelling; choose landmarks closer to every vertex"
+            ),
             QbsError::Io(err) => write!(f, "i/o error: {err}"),
         }
     }
@@ -74,6 +88,11 @@ mod tests {
         assert!(e.to_string().contains("bad magic"));
         let e = QbsError::ThreadPool("no threads".into());
         assert!(e.to_string().contains("thread pool"));
+        let e = QbsError::LabelOverflow {
+            distance: 69_999,
+            limit: 65_534,
+        };
+        assert!(e.to_string().contains("69999 exceeds the 65534-hop"), "{e}");
     }
 
     #[test]

@@ -28,6 +28,9 @@ use qbs_graph::{Distance, Graph, VertexId};
 /// Sentinel meaning "no label entry for this (vertex, landmark) pair".
 pub const NO_LABEL: u16 = u16::MAX;
 
+/// Largest distance a label entry can hold: one below [`NO_LABEL`].
+pub const MAX_LABEL_DISTANCE: Distance = NO_LABEL as Distance - 1;
+
 /// Dense per-vertex path labelling.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PathLabelling {
@@ -129,6 +132,10 @@ pub struct LabellingScheme {
     /// Meta-graph edges `(i, j, σ)` over landmark *indices*, deduplicated and
     /// stored with `i < j`.
     pub meta_edges: Vec<(usize, usize, Distance)>,
+    /// Largest label distance any landmark BFS produced. Above
+    /// [`MAX_LABEL_DISTANCE`] the stored entries were clamped and the
+    /// labelling is wrong; [`crate::QbsIndex::try_build`] refuses it.
+    pub max_label_distance: Distance,
 }
 
 /// The outcome of the BFS rooted at one landmark.
@@ -138,6 +145,9 @@ pub struct LandmarkBfs {
     pub column: Vec<u16>,
     /// Meta edges `(other_landmark_idx, σ)` discovered from this root.
     pub meta_edges: Vec<(usize, Distance)>,
+    /// Depth of the deepest labelled vertex, before clamping to
+    /// [`MAX_LABEL_DISTANCE`].
+    pub max_depth: Distance,
 }
 
 /// Runs the two-queue BFS of Algorithm 2 from the landmark with column index
@@ -155,6 +165,7 @@ pub fn landmark_bfs(
     let root = landmarks[root_idx];
     let mut column = vec![NO_LABEL; n];
     let mut meta_edges = Vec::new();
+    let mut max_depth: Distance = 0;
     let mut visited = vec![false; n];
 
     // Current-level queues: labelled (QL) and non-labelled (QN).
@@ -183,6 +194,7 @@ pub fn landmark_bfs(
                     next_qn.push(v);
                 } else {
                     column[v as usize] = saturate(next_depth);
+                    max_depth = next_depth;
                     next_ql.push(v);
                 }
             }
@@ -204,7 +216,11 @@ pub fn landmark_bfs(
         level = next_depth;
     }
 
-    LandmarkBfs { column, meta_edges }
+    LandmarkBfs {
+        column,
+        meta_edges,
+        max_depth,
+    }
 }
 
 /// Builds the complete labelling scheme sequentially (one landmark at a
@@ -239,8 +255,10 @@ pub(crate) fn assemble(
     let mut labelling = PathLabelling::new(graph.num_vertices(), landmarks.len());
     let mut meta: std::collections::BTreeMap<(usize, usize), Distance> =
         std::collections::BTreeMap::new();
+    let mut max_label_distance = 0;
     for (i, bfs) in columns.into_iter().enumerate() {
         labelling.install_column(i, &bfs.column);
+        max_label_distance = max_label_distance.max(bfs.max_depth);
         for (j, sigma) in bfs.meta_edges {
             let key = (i.min(j), i.max(j));
             let entry = meta.entry(key).or_insert(sigma);
@@ -252,15 +270,14 @@ pub(crate) fn assemble(
         landmarks: landmarks.to_vec(),
         labelling,
         meta_edges: meta.into_iter().map(|((i, j), s)| (i, j, s)).collect(),
+        max_label_distance,
     }
 }
 
+/// Clamps a depth into a label entry; [`LandmarkBfs::max_depth`] records
+/// that it happened.
 fn saturate(d: Distance) -> u16 {
-    if d >= NO_LABEL as Distance {
-        NO_LABEL - 1
-    } else {
-        d as u16
-    }
+    d.min(MAX_LABEL_DISTANCE) as u16
 }
 
 #[cfg(test)]

@@ -106,15 +106,18 @@ impl QbsIndex {
     ///
     /// # Panics
     ///
-    /// Panics when the build fails (today that only happens when a
-    /// dedicated labelling thread pool cannot be created); use
+    /// Panics when the build fails (a dedicated labelling thread pool
+    /// cannot be created, or a label distance overflows); use
     /// [`QbsIndex::try_build`] to handle such failures.
     pub fn build(graph: Graph, config: QbsConfig) -> Self {
         Self::try_build(graph, config).expect("index build failed")
     }
 
-    /// Builds an index over `graph`, surfacing build-environment failures
-    /// (e.g. [`QbsError::ThreadPool`]) instead of panicking.
+    /// Builds an index over `graph`, surfacing build failures instead of
+    /// panicking: [`QbsError::ThreadPool`] when the labelling pool cannot
+    /// be created, and [`QbsError::LabelOverflow`] when some label
+    /// distance exceeds [`labelling::MAX_LABEL_DISTANCE`] (the index
+    /// would answer wrong distances).
     pub fn try_build(graph: Graph, config: QbsConfig) -> crate::Result<Self> {
         let total_start = Instant::now();
 
@@ -132,6 +135,12 @@ impl QbsIndex {
             labelling::build_sequential(&graph, &landmarks)
         };
         let labelling_time = t.elapsed();
+        if scheme.max_label_distance > labelling::MAX_LABEL_DISTANCE {
+            return Err(QbsError::LabelOverflow {
+                distance: scheme.max_label_distance.into(),
+                limit: labelling::MAX_LABEL_DISTANCE.into(),
+            });
+        }
 
         let t = Instant::now();
         let meta = MetaGraph::build(&graph, &landmarks, &scheme.meta_edges);

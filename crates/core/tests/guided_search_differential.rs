@@ -3,11 +3,12 @@
 //! landmark strategies and counts.
 
 use qbs_baselines::{GroundTruth, SpgEngine};
-use qbs_core::{LandmarkStrategy, QbsConfig, QbsIndex};
+use qbs_core::labelling::MAX_LABEL_DISTANCE;
+use qbs_core::{LandmarkStrategy, Qbs, QbsConfig, QbsError, QbsIndex};
 use qbs_gen::catalog::{Catalog, DatasetId, Scale};
 use qbs_gen::prelude::*;
 use qbs_gen::structured;
-use qbs_graph::{Graph, INFINITE_DISTANCE};
+use qbs_graph::{Graph, VertexId, INFINITE_DISTANCE};
 
 fn check(graph: &Graph, config: QbsConfig, queries: usize, seed: u64, tag: &str) {
     let index = QbsIndex::build(graph.clone(), config);
@@ -172,4 +173,46 @@ fn coverage_and_sketch_are_consistent_with_answers() {
             qbs_core::coverage::PairCoverage::NotApplicable => {}
         }
     }
+}
+
+/// Label entries are 16-bit. A build whose labels would exceed
+/// `MAX_LABEL_DISTANCE` fails with a typed error: clamping them would
+/// answer `distance(1, 69999) = 65535` on this path.
+#[test]
+fn label_distance_overflow_is_a_typed_build_error() {
+    let config = QbsConfig::with_explicit_landmarks(vec![0]);
+    match QbsIndex::try_build(structured::path(70_000), config.clone()) {
+        Err(QbsError::LabelOverflow { distance, limit }) => {
+            assert_eq!((distance, limit), (69_999, 65_534));
+        }
+        Err(other) => panic!("expected a label overflow, got {other}"),
+        Ok(index) => panic!(
+            "the 70k path built and answers distance(1, 69999) = {:?}",
+            index.distance(1, 69_999)
+        ),
+    }
+    assert!(matches!(
+        Qbs::build(structured::path(70_000), config),
+        Err(QbsError::LabelOverflow { .. })
+    ));
+}
+
+/// The largest representable label still builds, and answers exactly.
+#[test]
+fn the_largest_label_distance_builds_and_matches_bibfs() {
+    // 65,535 vertices: the far end is 65,534 hops from landmark 0.
+    let n = MAX_LABEL_DISTANCE as usize + 1;
+    let graph = structured::path(n);
+    let config = QbsConfig::with_explicit_landmarks(vec![0]);
+    let index = QbsIndex::try_build(graph.clone(), config).expect("every label fits");
+    let far = (n - 1) as VertexId;
+    for source in [0, 1] {
+        let expected = qbs_graph::bibfs::bidirectional_distance(&graph, source, far).distance;
+        assert_eq!(
+            index.distance(source, far).unwrap(),
+            expected,
+            "source {source}"
+        );
+    }
+    assert_eq!(index.distance(0, far).unwrap(), MAX_LABEL_DISTANCE);
 }

@@ -1,4 +1,4 @@
-//! The router process: the protocol v2 reactor front-end wired to a
+//! The router process: the `qbs-server` reactor front-end wired to a
 //! scatter/gather [`ServeBackend`] over a [`ReplicaPool`], plus the
 //! health prober.
 

@@ -3,28 +3,13 @@
 //!
 //! The byte layout is specified normatively in `docs/protocol.md`. In
 //! short: a connection opens with an 8-byte preamble from each side
-//! (`"QBSP"` magic + `u16` protocol version + reserved `u16`). The
-//! versions are **negotiated** (see [`negotiate`]): the server answers a
-//! v1 client with v1 and anything newer with the highest version it
-//! speaks, so old clients keep working bit-identically. After the
-//! handshake both directions carry frames — under v1
-//!
-//! ```text
-//! [len: u32 LE][tag: u8][payload: len-1 bytes]
-//! ```
-//!
-//! and under v2 every frame additionally opens with a request ID
-//! ([`qbs_core::wire::RequestId`]) so responses can be pipelined and
-//! complete out of order:
-//!
-//! ```text
-//! [len: u32 LE][id: u32 LE][tag: u8][payload: len-5 bytes]
-//! ```
-//!
-//! Under v3 the envelope additionally carries a 64-bit trace ID
-//! ([`qbs_core::TraceId`]) between the request ID and the tag, so one
-//! request can be followed through a router into a replica's slow-query
-//! log:
+//! (`"QBSP"` magic + `u16` protocol version + reserved `u16`). Both sides
+//! must announce [`PROTOCOL_VERSION`]; any other version is refused with a
+//! typed `VERSION_MISMATCH` fault. After the handshake both directions
+//! carry enveloped frames: a request ID ([`qbs_core::wire::RequestId`]) so
+//! responses can be pipelined and complete out of order, and a 64-bit
+//! trace ID ([`qbs_core::TraceId`]) so one request can be followed through
+//! a router into a replica's slow-query log:
 //!
 //! ```text
 //! [len: u32 LE][id: u32 LE][trace: u64 LE][tag: u8][payload: len-13 bytes]
@@ -49,29 +34,9 @@ use crate::admission::{AdmissionStats, BusyReason};
 /// Magic bytes opening every connection preamble.
 pub const PROTOCOL_MAGIC: [u8; 4] = *b"QBSP";
 
-/// Highest protocol version spoken by this build. The handshake
-/// negotiates down to the peer's version when it is older (see
-/// [`negotiate`]); additions bump this.
+/// The one protocol version this build speaks; both sides of a
+/// connection must announce it.
 pub const PROTOCOL_VERSION: u16 = 3;
-
-/// Oldest protocol version this build still speaks. v1 connections are
-/// served byte-identically to pre-v2 builds.
-pub const MIN_PROTOCOL_VERSION: u16 = 1;
-
-/// Resolves the version to speak with a peer that announced `theirs`.
-///
-/// The rule is monotone and forward-compatible: a peer announcing a
-/// version this build does not know yet is assumed to also speak
-/// everything older (exactly how this build treats v1), so the connection
-/// proceeds at [`PROTOCOL_VERSION`]. Only versions below
-/// [`MIN_PROTOCOL_VERSION`] are unspeakable.
-pub fn negotiate(theirs: u16) -> Option<u16> {
-    if theirs < MIN_PROTOCOL_VERSION {
-        None
-    } else {
-        Some(theirs.min(PROTOCOL_VERSION))
-    }
-}
 
 /// Hard cap on one frame's length field. Large enough for a 4096-request
 /// batch of path-graph answers on real graphs; small enough that a
@@ -92,7 +57,7 @@ pub enum RequestFrame {
     Ping,
     /// Ask the server to drain in-flight batches and exit.
     Shutdown,
-    /// Snapshot the server's per-stage latency histograms (v3+; a router
+    /// Snapshot the server's per-stage latency histograms (a router
     /// answers with the bucket-wise merge across its replicas).
     Metrics,
 }
@@ -410,24 +375,17 @@ impl ResponseFrame {
 
 /// Writes the 8-byte connection preamble announcing [`PROTOCOL_VERSION`].
 pub fn write_preamble<W: Write>(w: &mut W) -> Result<(), ProtocolError> {
-    write_preamble_version(w, PROTOCOL_VERSION)
-}
-
-/// Writes the 8-byte connection preamble announcing a specific version —
-/// the server's negotiated reply, or a client forcing v1.
-pub fn write_preamble_version<W: Write>(w: &mut W, version: u16) -> Result<(), ProtocolError> {
     let mut preamble = [0u8; PREAMBLE_LEN];
     preamble[..4].copy_from_slice(&PROTOCOL_MAGIC);
-    preamble[4..6].copy_from_slice(&version.to_le_bytes());
+    preamble[4..6].copy_from_slice(&PROTOCOL_VERSION.to_le_bytes());
     w.write_all(&preamble)?;
     Ok(())
 }
 
-/// Reads the peer's 8-byte preamble, validating the magic, and returns
-/// the version the peer announced. A version below
-/// [`MIN_PROTOCOL_VERSION`] (i.e. 0, which no build has ever spoken) is
-/// rejected here; everything else is the caller's [`negotiate`] decision.
-pub fn read_preamble<R: Read>(r: &mut R) -> Result<u16, ProtocolError> {
+/// Reads the peer's 8-byte preamble, validating the magic and the
+/// version: anything but [`PROTOCOL_VERSION`] is a typed
+/// [`ProtocolError::VersionMismatch`].
+pub fn read_preamble<R: Read>(r: &mut R) -> Result<(), ProtocolError> {
     let mut preamble = [0u8; PREAMBLE_LEN];
     r.read_exact(&mut preamble)?;
     let magic: [u8; 4] = preamble[..4].try_into().expect("fixed split");
@@ -435,39 +393,13 @@ pub fn read_preamble<R: Read>(r: &mut R) -> Result<u16, ProtocolError> {
         return Err(ProtocolError::BadMagic(magic));
     }
     let theirs = u16::from_le_bytes([preamble[4], preamble[5]]);
-    if theirs < MIN_PROTOCOL_VERSION {
+    if theirs != PROTOCOL_VERSION {
         return Err(ProtocolError::VersionMismatch {
             ours: PROTOCOL_VERSION,
             theirs,
         });
     }
-    Ok(theirs)
-}
-
-/// Prepends the v2 request-ID envelope to a frame body: the result is the
-/// `[id][tag][payload]` byte string a v2 frame's length prefix counts.
-pub fn encode_envelope(id: RequestId, body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + body.len());
-    id.encode(&mut out);
-    out.extend_from_slice(body);
-    out
-}
-
-/// Splits a v2 frame payload into its request ID and the enclosed frame
-/// body. A payload too short to carry the ID is a typed
-/// [`ProtocolError::Malformed`], never a panic.
-pub fn split_envelope(payload: &[u8]) -> Result<(RequestId, &[u8]), ProtocolError> {
-    if payload.len() < 4 {
-        return Err(ProtocolError::Malformed(WireError::Truncated {
-            what: "request id envelope",
-            needed: 4,
-            remaining: payload.len(),
-        }));
-    }
-    let id = RequestId(u32::from_le_bytes(
-        payload[..4].try_into().expect("fixed split"),
-    ));
-    Ok((id, &payload[4..]))
+    Ok(())
 }
 
 /// Prepends the v3 request-ID + trace envelope to a frame body: the
@@ -526,58 +458,6 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Vec<u8>, ProtocolError> {
     let mut body = vec![0u8; len as usize];
     r.read_exact(&mut body)?;
     Ok(body)
-}
-
-/// Convenience: write one v1 request frame.
-pub fn write_request<W: Write>(w: &mut W, frame: &RequestFrame) -> Result<(), ProtocolError> {
-    write_frame(w, &frame.encode_body())
-}
-
-/// Convenience: write one v1 response frame.
-pub fn write_response<W: Write>(w: &mut W, frame: &ResponseFrame) -> Result<(), ProtocolError> {
-    write_frame(w, &frame.encode_body())
-}
-
-/// Convenience: read one v1 request frame.
-pub fn read_request<R: Read>(r: &mut R) -> Result<RequestFrame, ProtocolError> {
-    RequestFrame::decode_body(&read_frame(r)?)
-}
-
-/// Convenience: read one v1 response frame.
-pub fn read_response<R: Read>(r: &mut R) -> Result<ResponseFrame, ProtocolError> {
-    ResponseFrame::decode_body(&read_frame(r)?)
-}
-
-/// Convenience: write one v2 request frame under `id`'s envelope.
-pub fn write_request_v2<W: Write>(
-    w: &mut W,
-    id: RequestId,
-    frame: &RequestFrame,
-) -> Result<(), ProtocolError> {
-    write_frame(w, &encode_envelope(id, &frame.encode_body()))
-}
-
-/// Convenience: write one v2 response frame under `id`'s envelope.
-pub fn write_response_v2<W: Write>(
-    w: &mut W,
-    id: RequestId,
-    frame: &ResponseFrame,
-) -> Result<(), ProtocolError> {
-    write_frame(w, &encode_envelope(id, &frame.encode_body()))
-}
-
-/// Convenience: read one v2 request frame and its envelope ID.
-pub fn read_request_v2<R: Read>(r: &mut R) -> Result<(RequestId, RequestFrame), ProtocolError> {
-    let payload = read_frame(r)?;
-    let (id, body) = split_envelope(&payload)?;
-    Ok((id, RequestFrame::decode_body(body)?))
-}
-
-/// Convenience: read one v2 response frame and its envelope ID.
-pub fn read_response_v2<R: Read>(r: &mut R) -> Result<(RequestId, ResponseFrame), ProtocolError> {
-    let payload = read_frame(r)?;
-    let (id, body) = split_envelope(&payload)?;
-    Ok((id, ResponseFrame::decode_body(body)?))
 }
 
 /// Convenience: write one v3 request frame under `id`'s envelope,
@@ -690,30 +570,15 @@ mod tests {
         let mut buf = Vec::new();
         write_preamble(&mut buf).unwrap();
         assert_eq!(buf.len(), PREAMBLE_LEN);
-        assert_eq!(read_preamble(&mut &buf[..]).unwrap(), PROTOCOL_VERSION);
-
-        let mut v1 = Vec::new();
-        write_preamble_version(&mut v1, 1).unwrap();
-        assert_eq!(read_preamble(&mut &v1[..]).unwrap(), 1);
+        assert_eq!(&buf[..4], &PROTOCOL_MAGIC);
+        assert_eq!(u16::from_le_bytes([buf[4], buf[5]]), PROTOCOL_VERSION);
+        read_preamble(&mut &buf[..]).unwrap();
 
         let mut wrong_magic = buf.clone();
         wrong_magic[0] = b'X';
         assert!(matches!(
             read_preamble(&mut &wrong_magic[..]),
             Err(ProtocolError::BadMagic(_))
-        ));
-
-        // A future version is returned for negotiation, not rejected.
-        let mut future = buf.clone();
-        future[4..6].copy_from_slice(&99u16.to_le_bytes());
-        assert_eq!(read_preamble(&mut &future[..]).unwrap(), 99);
-
-        // Version 0 predates every build and is rejected at the read.
-        let mut zero = buf.clone();
-        zero[4..6].copy_from_slice(&0u16.to_le_bytes());
-        assert!(matches!(
-            read_preamble(&mut &zero[..]),
-            Err(ProtocolError::VersionMismatch { theirs: 0, .. })
         ));
 
         assert!(matches!(
@@ -723,44 +588,36 @@ mod tests {
     }
 
     #[test]
-    fn negotiation_is_monotone_and_forward_compatible() {
-        assert_eq!(negotiate(0), None);
-        assert_eq!(negotiate(1), Some(1));
-        assert_eq!(negotiate(2), Some(2));
-        assert_eq!(negotiate(3), Some(3));
-        // Unknown future versions speak everything older, so the
-        // connection proceeds at our highest version.
-        assert_eq!(negotiate(4), Some(PROTOCOL_VERSION));
-        assert_eq!(negotiate(u16::MAX), Some(PROTOCOL_VERSION));
+    fn read_preamble_rejects_every_other_version() {
+        let mut buf = Vec::new();
+        write_preamble(&mut buf).unwrap();
+        for version in [0, 1, 2, 4, 99, u16::MAX] {
+            let mut other = buf.clone();
+            other[4..6].copy_from_slice(&version.to_le_bytes());
+            match read_preamble(&mut &other[..]) {
+                Err(ProtocolError::VersionMismatch { ours, theirs }) => {
+                    assert_eq!((ours, theirs), (PROTOCOL_VERSION, version));
+                }
+                other => panic!("version {version}: expected a mismatch, got {other:?}"),
+            }
+        }
     }
 
     #[test]
     fn envelopes_roundtrip_and_reject_truncation() {
         let frame = RequestFrame::Batch(vec![QueryRequest::distance(1, 2)]);
         let body = frame.encode_body();
-        let enveloped = encode_envelope(RequestId(7), &body);
-        assert_eq!(enveloped.len(), body.len() + 4);
-        let (id, inner) = split_envelope(&enveloped).unwrap();
-        assert_eq!(id, RequestId(7));
-        assert_eq!(inner, &body[..]);
-
-        for cut in 0..4 {
-            assert!(matches!(
-                split_envelope(&enveloped[..cut]),
-                Err(ProtocolError::Malformed(WireError::Truncated { .. }))
-            ));
+        for id in [RequestId::CONNECTION, RequestId(1), RequestId(u32::MAX)] {
+            let enveloped = encode_envelope_v3(id, TraceId::NONE, &body);
+            let (got_id, got_trace, inner) = split_envelope_v3(&enveloped).unwrap();
+            assert_eq!((got_id, got_trace), (id, TraceId::NONE));
+            assert_eq!(inner, &body[..]);
         }
 
-        let mut buf = Vec::new();
-        write_request_v2(&mut buf, RequestId(9), &frame).unwrap();
-        let (id, decoded) = read_request_v2(&mut &buf[..]).unwrap();
-        assert_eq!((id, decoded), (RequestId(9), frame));
-
-        let response = ResponseFrame::Pong;
-        let mut buf = Vec::new();
-        write_response_v2(&mut buf, RequestId(9), &response).unwrap();
-        let (id, decoded) = read_response_v2(&mut &buf[..]).unwrap();
-        assert_eq!((id, decoded), (RequestId(9), response));
+        // An envelope with an empty body splits; the body decode fails.
+        let enveloped = encode_envelope_v3(RequestId(7), TraceId(5), &body);
+        let (_, _, inner) = split_envelope_v3(&enveloped[..12]).unwrap();
+        assert!(RequestFrame::decode_body(inner).is_err());
     }
 
     #[test]
@@ -848,14 +705,27 @@ mod tests {
 
     #[test]
     fn frame_io_roundtrips_over_a_stream() {
-        let frame = RequestFrame::Batch(vec![QueryRequest::distance(1, 2)]);
+        // Several frames back to back on one stream read back in order.
+        let requests = [
+            RequestFrame::Batch(vec![QueryRequest::distance(1, 2)]),
+            RequestFrame::Ping,
+        ];
         let mut buf = Vec::new();
-        write_request(&mut buf, &frame).unwrap();
-        assert_eq!(read_request(&mut &buf[..]).unwrap(), frame);
+        for (i, frame) in requests.iter().enumerate() {
+            write_request_v3(&mut buf, RequestId(i as u32 + 1), TraceId(9), frame).unwrap();
+        }
+        let mut stream = &buf[..];
+        for (i, frame) in requests.iter().enumerate() {
+            let (id, trace, decoded) = read_request_v3(&mut stream).unwrap();
+            assert_eq!((id, trace), (RequestId(i as u32 + 1), TraceId(9)));
+            assert_eq!(&decoded, frame);
+        }
+        assert!(stream.is_empty());
 
         let response = ResponseFrame::Batch(vec![QueryOutcome::Distance(1)]);
         let mut buf = Vec::new();
-        write_response(&mut buf, &response).unwrap();
-        assert_eq!(read_response(&mut &buf[..]).unwrap(), response);
+        write_response_v3(&mut buf, RequestId(4), TraceId::NONE, &response).unwrap();
+        let (_, _, decoded) = read_response_v3(&mut &buf[..]).unwrap();
+        assert_eq!(decoded, response);
     }
 }

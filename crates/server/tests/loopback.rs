@@ -1,6 +1,6 @@
 //! Loopback integration tests: the served answers must be bit-identical
-//! to local `Qbs::submit` — under protocol v1 and v2, one-shot and
-//! pipelined, in-order and out-of-order — admission must shed with typed
+//! to local `Qbs::submit` — one-shot and pipelined, in-order and
+//! out-of-order — admission must shed with typed
 //! `Busy` replies (never hangs or dropped connections), idle connections
 //! must park on the reactor without consuming threads, and shutdown must
 //! drain cleanly.
@@ -257,119 +257,70 @@ fn ping_reconnect_and_version_negotiation() {
     let addr = server.local_addr().to_string();
 
     let mut client = QbsClient::connect(&addr).expect("connect");
-    assert_eq!(client.protocol_version(), qbs_server::PROTOCOL_VERSION);
     assert!(client.ping().expect("pong").as_secs() < 5);
     client.reconnect().expect("reconnect to the same server");
     client.ping().expect("pong after reconnect");
     assert_eq!(client.addr(), addr);
 
+    use qbs_server::protocol::{self, fault_code, RequestFrame, ResponseFrame};
     use std::io::{Read, Write};
 
-    // A client announcing a future version negotiates down to the
-    // server's newest version and is served normally.
-    let mut raw = std::net::TcpStream::connect(&addr).expect("tcp");
-    let mut preamble = [0u8; 8];
-    preamble[..4].copy_from_slice(b"QBSP");
-    preamble[4..6].copy_from_slice(&999u16.to_le_bytes());
-    raw.write_all(&preamble).expect("send future version");
-    let mut reply = [0u8; 8];
-    raw.read_exact(&mut reply).expect("server preamble");
-    assert_eq!(&reply[..4], b"QBSP");
-    assert_eq!(
-        u16::from_le_bytes([reply[4], reply[5]]),
-        qbs_server::PROTOCOL_VERSION,
-        "the server replies with the negotiated version"
-    );
+    let hello = |version: u16| -> std::net::TcpStream {
+        let mut raw = std::net::TcpStream::connect(&addr).expect("tcp");
+        raw.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .expect("timeout");
+        let mut preamble = [0u8; 8];
+        preamble[..4].copy_from_slice(b"QBSP");
+        preamble[4..6].copy_from_slice(&version.to_le_bytes());
+        raw.write_all(&preamble).expect("send preamble");
+        raw
+    };
+
+    // A raw client announcing the protocol version is served, and the
+    // reply echoes the request's trace ID.
+    let mut raw = hello(qbs_server::PROTOCOL_VERSION);
+    protocol::read_preamble(&mut raw).expect("server preamble");
     let trace = qbs_core::TraceId(0xDEAD_BEEF_CAFE);
-    qbs_server::protocol::write_request_v3(
-        &mut raw,
-        RequestId(7),
-        trace,
-        &qbs_server::protocol::RequestFrame::Ping,
-    )
-    .expect("v3 ping");
-    let (id, echoed, frame) = qbs_server::protocol::read_response_v3(&mut raw).expect("v3 pong");
+    protocol::write_request_v3(&mut raw, RequestId(7), trace, &RequestFrame::Ping).expect("ping");
+    let (id, echoed, frame) = protocol::read_response_v3(&mut raw).expect("pong");
     assert_eq!(id, RequestId(7));
     assert_eq!(echoed, trace, "the reply echoes the request's trace ID");
-    assert_eq!(frame, qbs_server::protocol::ResponseFrame::Pong);
+    assert_eq!(frame, ResponseFrame::Pong);
 
-    // Version 0 predates every build: typed fault, then close.
-    let mut raw = std::net::TcpStream::connect(&addr).expect("tcp");
-    let mut preamble = [0u8; 8];
-    preamble[..4].copy_from_slice(b"QBSP");
-    raw.write_all(&preamble).expect("send version 0");
-    let mut reply = [0u8; 8];
-    raw.read_exact(&mut reply).expect("server preamble");
-    let frame = qbs_server::protocol::read_response(&mut raw).expect("fault frame");
-    match frame {
-        qbs_server::protocol::ResponseFrame::Error(fault) => {
-            assert_eq!(
-                fault.code,
-                qbs_server::protocol::fault_code::VERSION_MISMATCH
-            );
-            assert!(fault.message.contains("client sent 0"), "{}", fault.message);
+    // Every other version gets the server's preamble, one enveloped
+    // VERSION_MISMATCH fault under the connection-scoped ID, then a close.
+    for version in [0u16, 1, 2, 4] {
+        let mut raw = hello(version);
+        protocol::read_preamble(&mut raw).expect("the server announces its version");
+        let (id, _, frame) = protocol::read_response_v3(&mut raw).expect("fault frame");
+        assert_eq!(id, RequestId::CONNECTION, "version {version}");
+        match frame {
+            ResponseFrame::Error(fault) => {
+                assert_eq!(fault.code, fault_code::VERSION_MISMATCH);
+                assert!(
+                    fault.message.contains(&format!("client sent {version}")),
+                    "{}",
+                    fault.message
+                );
+            }
+            other => panic!("version {version}: expected a version fault, got {other:?}"),
         }
-        other => panic!("expected a version fault, got {other:?}"),
+        let mut sink = [0u8; 1];
+        assert_eq!(
+            raw.read(&mut sink).expect("server FIN"),
+            0,
+            "version {version}: the server closes after the fault"
+        );
     }
     server.shutdown();
 }
 
 #[test]
-fn v1_and_v3_clients_get_bit_identical_answers() {
-    let (qbs, path) = mmap_session("versions");
-    let num_vertices = qbs_core::IndexStore::num_vertices(qbs.as_ref()) as u32;
-    let mut server = QbsServer::start(Arc::clone(&qbs), ServerConfig::default()).expect("start");
-    let addr = server.local_addr().to_string();
-    let local = Qbs::open(&path, MapMode::Mmap).expect("local reference");
-
-    let mut v3 = QbsClient::connect(&addr).expect("v3 connect");
-    assert_eq!(v3.protocol_version(), 3);
-    let mut v1 =
-        QbsClient::connect_with(&addr, ClientConfig::default().force_v1(true)).expect("v1 connect");
-    assert_eq!(v1.protocol_version(), 1, "force_v1 pins the handshake");
-
-    for salt in 0..3u32 {
-        let requests = mixed_requests(num_vertices, salt);
-        let expected = local.submit(&requests);
-        for (name, client) in [("v3", &mut v3), ("v1", &mut v1)] {
-            let reply = client.submit(&requests).expect("submit");
-            assert_eq!(
-                reply.outcomes().expect("unloaded server never sheds"),
-                &expected[..],
-                "{name} client diverged from local submit (salt {salt})"
-            );
-        }
-    }
-
-    // A v1 connection pipelines too (the wire is FIFO; the client stash
-    // re-pairs replies): tickets redeemed in reverse order still match.
-    let batch_a = mixed_requests(num_vertices, 11);
-    let batch_b = mixed_requests(num_vertices, 12);
-    let expected_a = local.submit(&batch_a);
-    let expected_b = local.submit(&batch_b);
-    let ticket_a = v1.send(&batch_a).expect("send a");
-    let ticket_b = v1.send(&batch_b).expect("send b");
-    let reply_b = v1.recv(ticket_b).expect("recv b");
-    let reply_a = v1.recv(ticket_a).expect("recv a");
-    assert_eq!(reply_a.outcomes().expect("admitted"), &expected_a[..]);
-    assert_eq!(reply_b.outcomes().expect("admitted"), &expected_b[..]);
-
-    // Control frames interleave with pipelined batches on both versions.
-    let ticket = v3.send(&batch_a).expect("send");
-    v3.ping().expect("ping while a batch is in flight");
-    assert_eq!(
-        v3.recv(ticket).expect("recv").outcomes().expect("admitted"),
-        &expected_a[..]
-    );
-    server.shutdown();
-}
-
-#[test]
-fn v1_half_close_with_queued_batches_drains_and_releases_permits() {
+fn half_close_with_pipelined_batches_drains_and_releases_permits() {
     let (qbs, path) = mmap_session("halfclose");
     let num_vertices = qbs_core::IndexStore::num_vertices(qbs.as_ref()) as u32;
-    // One worker serialises execution, so the trailing batches are parked
-    // in the v1 in-order queue when the EOF arrives.
+    // One worker serialises execution, so batches are still queued or
+    // executing when the EOF arrives.
     let mut server =
         QbsServer::start(Arc::clone(&qbs), ServerConfig::default().workers(1)).expect("start");
     let addr = server.local_addr().to_string();
@@ -379,31 +330,44 @@ fn v1_half_close_with_queued_batches_drains_and_releases_permits() {
     use std::io::Read;
 
     let mut raw = std::net::TcpStream::connect(&addr).expect("tcp");
-    // A timeout turns the historical failure mode (replies never come,
-    // the connection leaks) into a clean assertion failure.
+    // A timeout turns a lost reply or a leaked connection into a clean
+    // assertion failure.
     raw.set_read_timeout(Some(std::time::Duration::from_secs(30)))
         .expect("timeout");
-    protocol::write_preamble_version(&mut raw, 1).expect("client hello");
-    assert_eq!(protocol::read_preamble(&mut raw).expect("server hello"), 1);
+    protocol::write_preamble(&mut raw).expect("client hello");
+    protocol::read_preamble(&mut raw).expect("server hello");
 
     let batches: Vec<Vec<QueryRequest>> = (0..4u32)
         .map(|salt| mixed_requests(num_vertices, 40 + salt))
         .collect();
-    for batch in &batches {
-        protocol::write_request(&mut raw, &RequestFrame::Batch(batch.clone())).expect("send");
+    for (i, batch) in batches.iter().enumerate() {
+        let frame = RequestFrame::Batch(batch.clone());
+        protocol::write_request_v3(
+            &mut raw,
+            RequestId(i as u32 + 1),
+            qbs_core::TraceId(1),
+            &frame,
+        )
+        .expect("send");
     }
     // Half-close after the last request, before any reply is read: the
-    // server must still answer every fully-received frame, in order,
-    // then close its own side — and must not pin the connection (or its
-    // admission permits) forever.
+    // server must still answer every fully-received frame, then close its
+    // own side — and must not pin the connection (or its admission
+    // permits) forever.
     raw.shutdown(std::net::Shutdown::Write).expect("half-close");
 
-    for (i, batch) in batches.iter().enumerate() {
-        let expected = local.submit(batch);
-        match protocol::read_response(&mut raw).expect("reply after half-close") {
-            ResponseFrame::Batch(outcomes) => {
-                assert_eq!(outcomes, expected, "batch {i} diverged after half-close")
-            }
+    let mut answered = vec![false; batches.len()];
+    for _ in 0..batches.len() {
+        let (id, _, frame) = protocol::read_response_v3(&mut raw).expect("reply after half-close");
+        let i = id.0 as usize - 1;
+        assert!(!answered[i], "batch {i} answered twice");
+        answered[i] = true;
+        match frame {
+            ResponseFrame::Batch(outcomes) => assert_eq!(
+                outcomes,
+                local.submit(&batches[i]),
+                "batch {i} diverged after half-close"
+            ),
             other => panic!("batch {i}: expected outcomes, got {other:?}"),
         }
     }
@@ -414,7 +378,7 @@ fn v1_half_close_with_queued_batches_drains_and_releases_permits() {
         "orderly close after the last reply"
     );
 
-    // Every permit the queued batches needed was released on completion.
+    // Every permit the batches needed was released on completion.
     let stats = server.stats();
     assert_eq!(stats.admission.inflight, 0);
     assert_eq!(stats.admission.admitted_batches, 4);
@@ -460,6 +424,18 @@ fn pipelined_batches_complete_out_of_order_and_match_local() {
         Err(qbs_server::ProtocolError::UnknownTicket(_)) => {}
         other => panic!("expected UnknownTicket, got {other:?}"),
     }
+
+    // Control frames interleave with pipelined batches.
+    let ticket = client.send(&batches[0]).expect("send");
+    client.ping().expect("ping while a batch is in flight");
+    assert_eq!(
+        client
+            .recv(ticket)
+            .expect("recv")
+            .outcomes()
+            .expect("admitted"),
+        &expected[0][..]
+    );
     server.shutdown();
 }
 
