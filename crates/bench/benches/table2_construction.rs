@@ -1,5 +1,7 @@
 //! Table 2 (construction columns): index construction time of QbS-P, QbS and
-//! the labelling baselines on representative stand-ins.
+//! the labelling baselines on representative stand-ins, plus QbS-P and QbS
+//! on the hub-heavy YouTube Small stand-in, where the meta-graph's Δ step
+//! once dominated the build.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
@@ -28,6 +30,16 @@ fn bench_construction(c: &mut Criterion) {
             b.iter(|| Ppl::build(g.clone()));
         });
     }
+
+    let id = DatasetId::Youtube;
+    let graph = catalog.get(id).unwrap().generate(Scale::Small);
+    let name = format!("{}-small", id.abbrev());
+    group.bench_with_input(BenchmarkId::new("QbS-P", &name), &graph, |b, g| {
+        b.iter(|| QbsIndex::build(g.clone(), QbsConfig::with_landmark_count(20)));
+    });
+    group.bench_with_input(BenchmarkId::new("QbS", &name), &graph, |b, g| {
+        b.iter(|| QbsIndex::build(g.clone(), QbsConfig::with_landmark_count(20).sequential()));
+    });
     group.finish();
 }
 

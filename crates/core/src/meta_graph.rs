@@ -10,11 +10,19 @@
 //!   landmark — the "precomputed shortest path graphs between landmarks"
 //!   whose size the paper reports as `size(Δ)` in Table 3 and which the
 //!   recover search splices into query answers.
+//!
+//! Δ costs at most one depth-bounded BFS per landmark plus work
+//! proportional to the Δ neighbourhoods, rather than two whole-graph BFSs
+//! and an edge scan per meta edge; no step allocates or scans `O(|V|)` per
+//! meta edge. Each Δ row holds `(min, max)` vertex pairs in ascending order,
+//! the order [`Graph::edges`] yields, so the stored rows (and the index
+//! files holding them) depend only on the graph and the landmark set.
 
 use serde::{Deserialize, Serialize};
 
-use qbs_graph::traversal::bfs_distances;
-use qbs_graph::{Distance, FilteredGraph, Graph, VertexFilter, VertexId, INFINITE_DISTANCE};
+use qbs_graph::{
+    Distance, DistanceField, Graph, VertexFilter, VertexId, VisitedSet, INFINITE_DISTANCE,
+};
 
 /// The meta-graph and everything precomputed from it.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -60,6 +68,14 @@ impl MetaGraph {
 
     /// Builds the meta-graph from the raw edge list produced by Algorithm 2,
     /// computing `d_M` and the per-edge Δ path graphs.
+    ///
+    /// Δ takes one BFS from the lower endpoint `landmarks[i]` of each meta
+    /// edge `(i, j, σ)`, bounded at the largest σ among its edges and never
+    /// expanding another landmark, then one walk back from each
+    /// `landmarks[j]` along depth-decreasing edges. `meta_edges` need not
+    /// be sorted: each run of consecutive edges sharing `i` costs one BFS.
+    /// Every row is a non-empty list of `(min, max)` pairs in ascending
+    /// order.
     pub fn build(
         graph: &Graph,
         landmarks: &[VertexId],
@@ -94,14 +110,7 @@ impl MetaGraph {
             }
         }
 
-        // Δ: shortest path graph between the endpoints of every meta-edge,
-        // restricted to paths avoiding all other landmarks.
-        let delta = meta_edges
-            .iter()
-            .map(|&(i, j, sigma)| {
-                landmark_pair_paths(graph, landmarks, landmarks[i], landmarks[j], sigma)
-            })
-            .collect();
+        let delta = delta_rows(graph, landmarks, meta_edges);
 
         MetaGraph {
             landmarks: landmarks.to_vec(),
@@ -193,43 +202,79 @@ impl MetaGraph {
     }
 }
 
-/// Computes the shortest path graph between two landmarks restricted to
-/// paths that contain no other landmark, via two BFSs on the filtered view.
-fn landmark_pair_paths(
+/// Computes the Δ row of every meta edge, in `meta_edges` order.
+///
+/// The BFS from `a` discovers the other landmarks but never expands them,
+/// so a vertex `x` on a shortest landmark-free `a`–`b` path gets the depth
+/// of that path's prefix up to `x`, and `b` (never interior to such a path)
+/// sits at depth `σ`. The edges met walking back from `b` through
+/// neighbours one level closer to `a`, never through another landmark, are
+/// therefore exactly that path graph.
+fn delta_rows(
     graph: &Graph,
     landmarks: &[VertexId],
-    a: VertexId,
-    b: VertexId,
-    expected_distance: Distance,
-) -> Vec<(VertexId, VertexId)> {
-    let others = VertexFilter::from_vertices(
-        graph.num_vertices(),
-        landmarks.iter().copied().filter(|&x| x != a && x != b),
-    );
-    let view = FilteredGraph::new(graph, &others);
-    let from_a = bfs_distances(&view, a);
-    let from_b = bfs_distances(&view, b);
-    debug_assert_eq!(
-        from_a[b as usize], expected_distance,
-        "meta edge weight must equal the landmark-free distance"
-    );
-    let mut edges = Vec::new();
-    for (x, y) in graph.edges() {
-        if others.contains(x) || others.contains(y) {
-            continue;
+    meta_edges: &[(usize, usize, Distance)],
+) -> Vec<Vec<(VertexId, VertexId)>> {
+    let n = graph.num_vertices();
+    let is_landmark = VertexFilter::from_vertices(n, landmarks.iter().copied());
+    let mut depth = DistanceField::new();
+    let mut walked = VisitedSet::new();
+    let (mut frontier, mut next, mut stack) = (Vec::new(), Vec::new(), Vec::new());
+    let mut delta = Vec::with_capacity(meta_edges.len());
+
+    for run in meta_edges.chunk_by(|x, y| x.0 == y.0) {
+        let a = landmarks[run[0].0];
+        let max_sigma = run
+            .iter()
+            .map(|&(_, _, sigma)| sigma)
+            .max()
+            .expect("chunk_by yields non-empty runs");
+        depth.reset(n);
+        depth.set(a, 0);
+        frontier.clear();
+        frontier.push(a);
+        let mut level = 0;
+        while level < max_sigma && !frontier.is_empty() {
+            next.clear();
+            for &u in &frontier {
+                for &v in graph.neighbors(u) {
+                    if !depth.is_set(v) {
+                        depth.set(v, level + 1);
+                        if !is_landmark.contains(v) {
+                            next.push(v);
+                        }
+                    }
+                }
+            }
+            std::mem::swap(&mut frontier, &mut next);
+            level += 1;
         }
-        let (dax, day) = (from_a[x as usize], from_a[y as usize]);
-        let (dbx, dby) = (from_b[x as usize], from_b[y as usize]);
-        if dax == INFINITE_DISTANCE || day == INFINITE_DISTANCE {
-            continue;
-        }
-        if dax.saturating_add(1).saturating_add(dby) == expected_distance
-            || day.saturating_add(1).saturating_add(dbx) == expected_distance
-        {
-            edges.push((x, y));
+
+        for &(_, j, _) in run {
+            let b = landmarks[j];
+            let mut row = Vec::new();
+            walked.reset(n);
+            stack.clear();
+            stack.push(b);
+            while let Some(x) = stack.pop() {
+                // `x` is never `a`, so its depth is at least 1.
+                let parent_depth = depth.get(x) - 1;
+                for &p in graph.neighbors(x) {
+                    if depth.get(p) != parent_depth || (p != a && is_landmark.contains(p)) {
+                        continue;
+                    }
+                    row.push((p.min(x), p.max(x)));
+                    if p != a && walked.insert(p) {
+                        stack.push(p);
+                    }
+                }
+            }
+            row.sort_unstable();
+            debug_assert!(!row.is_empty(), "meta edge ({a}, {b}) has an empty Δ row");
+            delta.push(row);
         }
     }
-    edges
+    delta
 }
 
 #[cfg(test)]
@@ -237,6 +282,7 @@ mod tests {
     use super::*;
     use crate::labelling::build_sequential;
     use qbs_graph::fixtures::{figure4_graph, figure4_landmarks};
+    use qbs_graph::traversal::bfs_distances;
     use qbs_graph::GraphBuilder;
 
     fn figure4_meta() -> (Graph, MetaGraph) {

@@ -151,8 +151,7 @@ pub mod fault_code {
     pub const UNKNOWN_TAG: u8 = 3;
     /// A frame length exceeded [`super::MAX_FRAME_LEN`].
     pub const FRAME_TOO_LARGE: u8 = 4;
-    /// The server is shutting down and will not accept more work.
-    pub const SHUTTING_DOWN: u8 = 5;
+    // 5 is retired (a shutdown refusal no build ever sent); do not reuse it.
 }
 
 impl Wire for WireFault {
