@@ -435,6 +435,18 @@ impl IndexView {
         u32_iter(&self.section_bytes(SectionKind::GraphNeighbors)[lo * 4..hi * 4])
     }
 
+    /// The degree of `v`: the difference of its two graph offsets.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v as usize >= num_vertices()`.
+    pub(crate) fn graph_degree(&self, v: VertexId) -> usize {
+        let offsets = self.section_bytes(SectionKind::GraphOffsets);
+        let lo = le_u64(offsets, v as usize * 8);
+        let hi = le_u64(offsets, (v as usize + 1) * 8);
+        (hi - lo) as usize
+    }
+
     /// Number of directed arcs stored in the graph section.
     pub fn num_arcs(&self) -> usize {
         self.section(SectionKind::GraphNeighbors).len as usize / 4
@@ -1416,6 +1428,20 @@ impl CompactView {
             first = false;
             Some(prev)
         })
+    }
+
+    /// The degree of `v` without decoding its row: every LEB128 varint
+    /// ends in exactly one byte with the high bit clear.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v as usize >= num_vertices()`.
+    pub(crate) fn graph_degree(&self, v: VertexId) -> usize {
+        let (lo, hi) = self.row_range(SectionKind::GraphOffsets, v as usize);
+        self.section_bytes(SectionKind::GraphNeighbors)[lo..hi]
+            .iter()
+            .filter(|&&b| b & 0x80 == 0)
+            .count()
     }
 
     /// Number of meta-graph edges.

@@ -445,6 +445,11 @@ impl IndexStore for QbsIndex {
     }
 
     #[inline]
+    fn degree(&self, v: VertexId) -> usize {
+        self.graph.degree(v)
+    }
+
+    #[inline]
     fn meta_distance(&self, i: usize, j: usize) -> Distance {
         self.meta.distance(i, j)
     }

@@ -8,14 +8,32 @@
 //!    endpoints on `G⁻`, steered by the per-side budgets `d*_u`, `d*_v` from
 //!    the sketch and bounded by `d⊤_uv`. It either finds
 //!    `d_{G⁻}(u, v) ≤ d⊤_uv` or proves `d_{G⁻}(u, v) > d⊤_uv`.
-//! 2. **Reverse search** — if the frontiers met, walk back from the meeting
-//!    vertices along strictly decreasing BFS depths to materialise every
-//!    shortest path inside `G⁻` (`G⁻_uv`).
+//! 2. **Reverse search** — if the frontiers met, every shortest path inside
+//!    `G⁻` (`G⁻_uv`) runs through a meeting vertex, one whose two depths sum
+//!    to the distance. The meeting vertices seed the path-graph walk of
+//!    both sides.
 //! 3. **Recover search** — if some shortest path passes a landmark
-//!    (`d_{G⁻} ≥ d⊤`), use the labels to materialise the landmark-passing
-//!    paths (`G^L_uv`): label-guided walks from the search frontiers to the
-//!    sketch landmarks, plus the precomputed Δ path graphs for the sketch's
-//!    meta edges.
+//!    (`d_{G⁻} ≥ d⊤`), the landmark-passing paths (`G^L_uv`) are spliced
+//!    from the precomputed Δ path graphs of the sketch's meta edges, plus
+//!    one endpoint-to-landmark segment per sketch hop. For a hop at
+//!    distance `σ`, the recover vertices `Z` are the level-`dm` vertices
+//!    (`dm = min(σ − 1, side level)`) whose label to the landmark is
+//!    `σ − dm`. One label walk from all of `Z` descends the labels to the
+//!    landmark, and `Z` joins the seeds of its side.
+//!
+//! Each side then runs **one DAG walk** from its seeds up to its origin.
+//! It goes level by level, from the deepest seed to depth 0, and collects
+//! every edge `(p, x)` with `depth(p) + 1 = depth(x)` above a marked vertex
+//! `x`. Each level step scans in the cheaper direction, by comparing
+//! [`IndexStore::degree`] sums (the direction-optimizing BFS of Beamer et
+//! al., SC'12):
+//!
+//! * **bottom-up** scans the marked level-`d+1` vertices for parents;
+//! * **top-down** scans all of `levels[d]` for marked children — the very
+//!   arcs the search relaxed when it expanded that level.
+//!
+//! So the walk scans at most as many arcs per level as the search relaxed
+//! there, and never scans a vertex twice.
 //!
 //! Queries whose endpoint happens to be a landmark are handled by giving
 //! that endpoint the synthetic label `{(itself, 0)}` and keeping it inside
@@ -34,12 +52,11 @@
 use serde::{Deserialize, Serialize};
 
 use qbs_graph::view::NeighborAccess;
-use qbs_graph::workspace::{DistanceField, VisitedSet};
 use qbs_graph::{Distance, PathGraph, VertexFilter, VertexId, INFINITE_DISTANCE};
 
-use crate::sketch::{Sketch, SketchBounds};
+use crate::sketch::{Sketch, SketchBounds, SketchHop};
 use crate::store::{IndexStore, SparsifiedStore};
-use crate::workspace::{QueryWorkspace, SideState};
+use crate::workspace::{LevelWalk, QueryWorkspace, SideState};
 
 /// Work counters and intermediate quantities of one guided search, used by
 /// the §6.5 traversal comparison and the Figure 8 coverage analysis.
@@ -105,12 +122,10 @@ pub fn guided_search_with<S: IndexStore>(
     let QueryWorkspace {
         fwd,
         bwd,
-        visited,
-        stack,
-        walk_visited,
-        walk_stack,
-        meeting,
-        edges,
+        fwd_seeds,
+        bwd_seeds,
+        walk,
+        answer_edges,
         scratch_filter,
         ..
     } = &mut *ws;
@@ -134,52 +149,51 @@ pub fn guided_search_with<S: IndexStore>(
     stats.sparsified_distance = meeting_distance;
 
     // ---- Stage 2/3: combine per Eq. 5. ----
-    edges.clear();
-    let distance;
-    if meeting_distance < d_top {
-        // Every shortest path avoids the landmarks.
-        distance = meeting_distance;
-        stats.used_reverse_search = true;
-        reverse_search(&view, distance, fwd, bwd, visited, stack, meeting, edges);
-    } else if meeting_distance == d_top && d_top != INFINITE_DISTANCE {
-        distance = d_top;
-        stats.used_reverse_search = true;
-        stats.used_recover_search = true;
-        reverse_search(&view, distance, fwd, bwd, visited, stack, meeting, edges);
-        recover_search(
-            store,
-            sketch,
-            &view,
-            fwd,
-            bwd,
-            walk_visited,
-            walk_stack,
-            stack,
-            edges,
-        );
-    } else if d_top != INFINITE_DISTANCE {
-        // d_{G⁻} > d⊤: every shortest path passes a landmark.
-        distance = d_top;
-        stats.used_recover_search = true;
-        recover_search(
-            store,
-            sketch,
-            &view,
-            fwd,
-            bwd,
-            walk_visited,
-            walk_stack,
-            stack,
-            edges,
-        );
-    } else {
-        // No landmark route and no G⁻ route: disconnected.
-        stats.distance = INFINITE_DISTANCE;
+    // Some shortest path avoids the landmarks iff d_{G⁻} ≤ d⊤; some passes
+    // one iff d⊤ ≤ d_{G⁻}. Neither holds only when both are infinite.
+    stats.used_reverse_search = meeting_distance != INFINITE_DISTANCE && meeting_distance <= d_top;
+    stats.used_recover_search = d_top != INFINITE_DISTANCE && d_top <= meeting_distance;
+    if !stats.used_reverse_search && !stats.used_recover_search {
         return (PathGraph::unreachable(source, target), stats);
     }
+    let distance = meeting_distance.min(d_top);
     stats.distance = distance;
+
+    answer_edges.clear();
+    fwd_seeds.clear();
+    bwd_seeds.clear();
+    if stats.used_reverse_search {
+        meeting_seeds(distance, fwd, bwd, fwd_seeds, bwd_seeds);
+    }
+    if stats.used_recover_search {
+        for &(i, j, _) in &sketch.meta_edges {
+            if let Some(k) = store.meta_edge_index(i, j) {
+                store.for_each_delta_edge(k, |a, b| answer_edges.push((a, b)));
+            }
+        }
+        recover_seeds(
+            store,
+            &sketch.source_hops,
+            fwd,
+            fwd_seeds,
+            walk,
+            answer_edges,
+        );
+        recover_seeds(
+            store,
+            &sketch.target_hops,
+            bwd,
+            bwd_seeds,
+            walk,
+            answer_edges,
+        );
+    }
+    let pick =
+        |marked: &[VertexId], shallower: &[VertexId]| cheaper_direction(store, marked, shallower);
+    dag_walk(&view, fwd, fwd_seeds, walk, answer_edges, pick);
+    dag_walk(&view, bwd, bwd_seeds, walk, answer_edges, pick);
     (
-        PathGraph::from_edges(source, target, distance, edges.iter().copied()),
+        PathGraph::from_edges(source, target, distance, answer_edges.iter().copied()),
         stats,
     )
 }
@@ -373,149 +387,6 @@ fn sparsified_view<'v, S: IndexStore>(
     SparsifiedStore::new(store, query_filter)
 }
 
-/// Recover search (Algorithm 4, lines 18-24): materialises the shortest
-/// paths that pass through at least one landmark.
-#[allow(clippy::too_many_arguments)]
-fn recover_search<S: IndexStore>(
-    store: &S,
-    sketch: &Sketch,
-    view: &SparsifiedStore<'_, S>,
-    fwd: &SideState,
-    bwd: &SideState,
-    walk_visited: &mut VisitedSet,
-    walk_stack: &mut Vec<(VertexId, Distance)>,
-    stack: &mut Vec<VertexId>,
-    edges: &mut Vec<(VertexId, VertexId)>,
-) {
-    // Landmark-to-landmark segments: splice in the precomputed Δ path
-    // graph of every sketch meta edge.
-    for &(i, j, _) in &sketch.meta_edges {
-        if let Some(k) = store.meta_edge_index(i, j) {
-            store.for_each_delta_edge(k, |a, b| edges.push((a, b)));
-        }
-    }
-    // Endpoint-to-landmark segments on both sides.
-    for hop in &sketch.source_hops {
-        recover_side(
-            store,
-            hop.landmark_idx,
-            hop.distance,
-            fwd,
-            view,
-            walk_visited,
-            walk_stack,
-            stack,
-            edges,
-        );
-    }
-    for hop in &sketch.target_hops {
-        recover_side(
-            store,
-            hop.landmark_idx,
-            hop.distance,
-            bwd,
-            view,
-            walk_visited,
-            walk_stack,
-            stack,
-            edges,
-        );
-    }
-}
-
-/// Recovers the shortest paths between one query endpoint and one sketch
-/// landmark: finds the frontier vertices `Z` of Algorithm 4 (lines 19-23),
-/// then label-walks from them to the landmark and depth-walks from them
-/// back to the endpoint.
-#[allow(clippy::too_many_arguments)]
-fn recover_side<S: IndexStore>(
-    store: &S,
-    landmark_idx: usize,
-    sigma: Distance,
-    side: &SideState,
-    view: &SparsifiedStore<'_, S>,
-    walk_visited: &mut VisitedSet,
-    walk_stack: &mut Vec<(VertexId, Distance)>,
-    stack: &mut Vec<VertexId>,
-    edges: &mut Vec<(VertexId, VertexId)>,
-) {
-    if sigma == 0 {
-        return; // the endpoint is this landmark; nothing to recover
-    }
-    let landmark = store.landmark(landmark_idx);
-    let dm = (sigma - 1).min(side.level);
-    let needed_label = sigma - dm;
-    let Some(level) = side.levels.get(dm as usize) else {
-        return;
-    };
-    for &w in level {
-        let matches = if store.is_landmark(w) {
-            // An endpoint that is itself a landmark only matches its own
-            // synthetic zero label.
-            w == landmark && needed_label == 0
-        } else {
-            store.label_distance(w, landmark_idx) == Some(needed_label)
-        };
-        if !matches {
-            continue;
-        }
-        // w → landmark via the labels.
-        label_walk(
-            store,
-            w,
-            landmark_idx,
-            landmark,
-            needed_label,
-            walk_visited,
-            walk_stack,
-            edges,
-        );
-        // endpoint → w via the search depths.
-        depth_walk(view, w, &side.depth, walk_visited, stack, edges);
-    }
-}
-
-/// Walks from `start` (whose label towards the landmark is
-/// `start_distance`) down to the landmark, following neighbours whose label
-/// decreases by exactly one; every traversed edge lies on a shortest path
-/// between `start` and the landmark that avoids all other landmarks.
-#[allow(clippy::too_many_arguments)]
-fn label_walk<S: IndexStore>(
-    store: &S,
-    start: VertexId,
-    landmark_idx: usize,
-    landmark: VertexId,
-    start_distance: Distance,
-    walk_visited: &mut VisitedSet,
-    walk_stack: &mut Vec<(VertexId, Distance)>,
-    edges: &mut Vec<(VertexId, VertexId)>,
-) {
-    if start_distance == 0 {
-        return;
-    }
-    walk_visited.reset(store.num_vertices());
-    walk_visited.insert(start);
-    walk_stack.clear();
-    walk_stack.push((start, start_distance));
-    while let Some((x, dx)) = walk_stack.pop() {
-        if dx == 1 {
-            edges.push((x, landmark));
-            continue;
-        }
-        store.for_each_neighbor(x, |y| {
-            if store.is_landmark(y) {
-                return; // other landmarks cannot be interior vertices
-            }
-            if store.label_distance(y, landmark_idx) == Some(dx - 1) {
-                edges.push((x, y));
-                if walk_visited.insert(y) {
-                    walk_stack.push((y, dx - 1));
-                }
-            }
-        });
-    }
-}
-
 /// Stage 1 of Algorithm 4: the alternating, budget-steered bidirectional
 /// level expansion on the sparsified view. Returns the meeting distance
 /// (`d_{G⁻}(u, v)` when it is `≤ d⊤`, [`INFINITE_DISTANCE`] otherwise).
@@ -582,27 +453,20 @@ fn bidirectional_stage<V: NeighborAccess>(
     meeting_distance
 }
 
-/// Reverse search (Algorithm 4, lines 16-17): collects every edge on a
-/// shortest `source ⇝ target` path inside the sparsified view, walking back
-/// from the meeting vertices along strictly decreasing depths on both sides.
+/// Reverse search (Algorithm 4, lines 16-17): seeds both sides with the
+/// meeting vertices, those whose forward and backward depths sum to
+/// `distance`.
 ///
-/// Meeting vertices are found by scanning the settled levels of the side
-/// with the *smaller* settled set (instead of all `|V|` vertex slots, as a
-/// fresh-allocation implementation would), so the whole phase is
-/// proportional to the work of the search, not to the graph size.
-#[allow(clippy::too_many_arguments)]
-fn reverse_search<V: NeighborAccess>(
-    view: &V,
+/// They are found by scanning the settled levels of the side with the
+/// *smaller* settled set, so the scan is proportional to the work of the
+/// search, not to the graph size.
+fn meeting_seeds(
     distance: Distance,
     fwd: &SideState,
     bwd: &SideState,
-    visited: &mut VisitedSet,
-    stack: &mut Vec<VertexId>,
-    meeting: &mut Vec<VertexId>,
-    edges: &mut Vec<(VertexId, VertexId)>,
+    fwd_seeds: &mut Vec<VertexId>,
+    bwd_seeds: &mut Vec<VertexId>,
 ) {
-    let n = view.vertex_count();
-    meeting.clear();
     let (scan, other) = if fwd.settled <= bwd.settled {
         (fwd, bwd)
     } else {
@@ -616,68 +480,195 @@ fn reverse_search<V: NeighborAccess>(
         for &w in level {
             let od = other.depth.get(w);
             if od != INFINITE_DISTANCE && d + od == distance {
-                meeting.push(w);
+                fwd_seeds.push(w);
+                bwd_seeds.push(w);
             }
-        }
-    }
-
-    for forward in [true, false] {
-        let depth = if forward { &fwd.depth } else { &bwd.depth };
-        visited.reset(n);
-        stack.clear();
-        for &w in meeting.iter() {
-            visited.insert(w);
-            stack.push(w);
-        }
-        while let Some(x) = stack.pop() {
-            let dx = depth.get(x);
-            if dx == 0 {
-                continue;
-            }
-            view.for_each_neighbor(x, |p| {
-                if depth.is_set(p) && depth.get(p) + 1 == dx {
-                    edges.push((p, x));
-                    if visited.insert(p) {
-                        stack.push(p);
-                    }
-                }
-            });
         }
     }
 }
 
-/// Walks from `start` back to the search origin following strictly
-/// decreasing depths, collecting the traversed edges (the endpoint-to-`Z`
-/// part of the recover search).
-fn depth_walk<V: NeighborAccess>(
-    view: &V,
-    start: VertexId,
-    depth: &DistanceField,
-    visited: &mut VisitedSet,
-    stack: &mut Vec<VertexId>,
+/// Recover search (Algorithm 4, lines 18-24) for the hops of one side:
+/// finds each hop's recover vertices `Z`, adds them to the side's seeds,
+/// and collects the `Z`-to-landmark segment with one label walk per hop.
+fn recover_seeds<S: IndexStore>(
+    store: &S,
+    hops: &[SketchHop],
+    side: &SideState,
+    seeds: &mut Vec<VertexId>,
+    walk: &mut LevelWalk,
     edges: &mut Vec<(VertexId, VertexId)>,
 ) {
-    if !depth.is_set(start) || depth.get(start) == 0 {
-        return;
-    }
-    visited.reset(view.vertex_count());
-    visited.insert(start);
-    stack.clear();
-    stack.push(start);
-    while let Some(x) = stack.pop() {
-        let dx = depth.get(x);
-        if dx == 0 {
-            continue;
+    for hop in hops {
+        if hop.distance == 0 {
+            continue; // the endpoint is this landmark; nothing to recover
         }
-        view.for_each_neighbor(x, |p| {
-            if depth.is_set(p) && depth.get(p) + 1 == dx {
-                edges.push((p, x));
-                if visited.insert(p) {
-                    stack.push(p);
+        // dm < σ, so every recover vertex still has a positive label. An
+        // endpoint that is itself a landmark has only its synthetic zero
+        // label and is never a recover vertex.
+        let dm = (hop.distance - 1).min(side.level);
+        let needed = hop.distance - dm;
+        walk.reached.reset(store.num_vertices());
+        walk.marked.clear();
+        for &w in &side.levels[dm as usize] {
+            if !store.is_landmark(w) && store.label_distance(w, hop.landmark_idx) == Some(needed) {
+                walk.reached.insert(w);
+                walk.marked.push(w);
+                seeds.push(w);
+            }
+        }
+        landmark_walk(store, hop.landmark_idx, needed, walk, edges);
+    }
+}
+
+/// Walks from the vertices in `walk.marked`, all at label distance `k ≥ 1`
+/// from landmark column `landmark_idx`, down to the landmark, following
+/// neighbours whose label decreases by exactly one. Every collected edge
+/// lies on a shortest path from a start vertex to the landmark that avoids
+/// all other landmarks.
+fn landmark_walk<S: IndexStore>(
+    store: &S,
+    landmark_idx: usize,
+    k: Distance,
+    walk: &mut LevelWalk,
+    edges: &mut Vec<(VertexId, VertexId)>,
+) {
+    debug_assert!(k >= 1, "a label walk starts off the landmark");
+    let LevelWalk {
+        reached,
+        marked,
+        next,
+    } = walk;
+    for dx in (2..=k).rev() {
+        next.clear();
+        for &x in marked.iter() {
+            store.for_each_neighbor(x, |y| {
+                if store.is_landmark(y) {
+                    return; // other landmarks cannot be interior vertices
+                }
+                if store.label_distance(y, landmark_idx) == Some(dx - 1) {
+                    edges.push((x, y));
+                    if reached.insert(y) {
+                        next.push(y);
+                    }
+                }
+            });
+        }
+        std::mem::swap(marked, next);
+    }
+    let landmark = store.landmark(landmark_idx);
+    edges.extend(marked.iter().map(|&x| (x, landmark)));
+}
+
+/// The scan direction of one DAG-walk level step.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Direction {
+    /// Scan the marked deeper vertices' adjacency for parents.
+    BottomUp,
+    /// Scan the shallower level's adjacency for marked children.
+    TopDown,
+}
+
+/// Bottom-up scans `Σ deg(marked)` arcs and top-down `Σ deg(shallower)`;
+/// the top-down sum stops as soon as it cannot win.
+fn cheaper_direction<S: IndexStore>(
+    store: &S,
+    marked: &[VertexId],
+    shallower: &[VertexId],
+) -> Direction {
+    let bottom_up: usize = marked.iter().map(|&x| store.degree(x)).sum();
+    let mut top_down = 0;
+    for &p in shallower {
+        top_down += store.degree(p);
+        if top_down >= bottom_up {
+            return Direction::BottomUp;
+        }
+    }
+    Direction::TopDown
+}
+
+/// Collects every edge on a shortest path from the side's origin to one of
+/// its `seeds`: the DAG walk of stage 2/3. `pick` chooses each level
+/// step's direction from the marked level and the level above it.
+fn dag_walk<V: NeighborAccess>(
+    view: &V,
+    side: &SideState,
+    seeds: &mut [VertexId],
+    walk: &mut LevelWalk,
+    edges: &mut Vec<(VertexId, VertexId)>,
+    mut pick: impl FnMut(&[VertexId], &[VertexId]) -> Direction,
+) {
+    let depth = &side.depth;
+    seeds.sort_unstable_by_key(|&s| std::cmp::Reverse(depth.get(s)));
+    let Some(&deepest) = seeds.first() else {
+        return;
+    };
+    walk.reached.reset(view.vertex_count());
+    walk.marked.clear();
+    let mut pending = seeds.iter().copied().peekable();
+    let mut d = depth.get(deepest);
+    loop {
+        while let Some(s) = pending.next_if(|&s| depth.get(s) == d) {
+            if walk.reached.insert(s) {
+                walk.marked.push(s);
+            }
+        }
+        if d == 0 {
+            break;
+        }
+        d -= 1;
+        let direction = pick(&walk.marked, &side.levels[d as usize]);
+        level_step(view, side, d, direction, walk, edges);
+    }
+}
+
+/// One DAG-walk step from the marked level `d + 1` to level `d`: collects
+/// every edge `(p, x)` with `depth(p) = d` and `x` marked, and leaves the
+/// parents `p` as the new marked level. Both directions collect the same
+/// edges, each exactly once.
+fn level_step<V: NeighborAccess>(
+    view: &V,
+    side: &SideState,
+    d: Distance,
+    direction: Direction,
+    walk: &mut LevelWalk,
+    edges: &mut Vec<(VertexId, VertexId)>,
+) {
+    let depth = &side.depth;
+    let LevelWalk {
+        reached,
+        marked,
+        next,
+    } = walk;
+    next.clear();
+    match direction {
+        Direction::BottomUp => {
+            for &x in marked.iter() {
+                view.for_each_neighbor(x, |p| {
+                    if depth.get(p) == d {
+                        edges.push((p, x));
+                        if reached.insert(p) {
+                            next.push(p);
+                        }
+                    }
+                });
+            }
+        }
+        Direction::TopDown => {
+            for &p in &side.levels[d as usize] {
+                let mut is_parent = false;
+                view.for_each_neighbor(p, |x| {
+                    if depth.get(x) == d + 1 && reached.contains(x) {
+                        edges.push((p, x));
+                        is_parent = true;
+                    }
+                });
+                if is_parent && reached.insert(p) {
+                    next.push(p);
                 }
             }
-        });
+        }
     }
+    std::mem::swap(marked, next);
 }
 
 #[cfg(test)]
@@ -877,6 +868,111 @@ mod tests {
         assert!(stats.vertices_settled > 0);
         assert!(stats.edges_traversed > 0);
         assert!(stats.forward_levels + stats.backward_levels > 0);
+    }
+
+    /// The DAG walk of one side, re-run on the state a full search left in
+    /// `ws`, from `seeds` with each level step's direction chosen by `pick`.
+    /// Returns the collected edges normalised and sorted, after asserting
+    /// that no edge was collected twice.
+    fn side_walk<S: IndexStore>(
+        store: &S,
+        ws: &mut QueryWorkspace,
+        (u, v): (VertexId, VertexId),
+        forward: bool,
+        seeds: &[VertexId],
+        pick: impl FnMut(&[VertexId], &[VertexId]) -> Direction,
+    ) -> Vec<(VertexId, VertexId)> {
+        let QueryWorkspace {
+            fwd,
+            bwd,
+            walk,
+            scratch_filter,
+            ..
+        } = ws;
+        let view = sparsified_view(store, scratch_filter, u, v);
+        let side = if forward { &*fwd } else { &*bwd };
+        let mut seeds = seeds.to_vec();
+        let mut edges = Vec::new();
+        dag_walk(&view, side, &mut seeds, walk, &mut edges, pick);
+        let mut normalised: Vec<_> = edges.iter().map(|&(a, b)| (a.min(b), a.max(b))).collect();
+        normalised.sort_unstable();
+        let collected = normalised.len();
+        normalised.dedup();
+        assert_eq!(
+            normalised.len(),
+            collected,
+            "({u},{v}) collected an edge twice"
+        );
+        normalised
+    }
+
+    /// Runs every side walk of every query of `index` with both fixed
+    /// directions and with the cost rule, from the query's own seeds and
+    /// from its whole deepest level; all must collect identical edges.
+    /// Returns how often the cost rule picked each direction.
+    fn assert_directions_agree(index: &QbsIndex, pairs: &[(VertexId, VertexId)]) -> [usize; 2] {
+        let mut picked = [0usize; 2];
+        let mut ws = QueryWorkspace::new();
+        for &(u, v) in pairs {
+            let mut src = Vec::new();
+            let mut tgt = Vec::new();
+            index.fill_effective_label(u, &mut src);
+            index.fill_effective_label(v, &mut tgt);
+            let sk = sketch::compute(index, u, v, &src, &tgt);
+            guided_search_with(index, &mut ws, u, v, &sk);
+            for forward in [true, false] {
+                let (side, seeds) = if forward {
+                    (&ws.fwd, &ws.fwd_seeds)
+                } else {
+                    (&ws.bwd, &ws.bwd_seeds)
+                };
+                let seed_sets = [seeds.clone(), side.frontier().to_vec()];
+                for seeds in seed_sets {
+                    let bottom_up = side_walk(index, &mut ws, (u, v), forward, &seeds, |_, _| {
+                        Direction::BottomUp
+                    });
+                    let top_down = side_walk(index, &mut ws, (u, v), forward, &seeds, |_, _| {
+                        Direction::TopDown
+                    });
+                    let chosen = side_walk(index, &mut ws, (u, v), forward, &seeds, |m, l| {
+                        let d = cheaper_direction(index, m, l);
+                        picked[(d == Direction::TopDown) as usize] += 1;
+                        d
+                    });
+                    assert_eq!(bottom_up, top_down, "({u},{v}) forward={forward}");
+                    assert_eq!(chosen, bottom_up, "({u},{v}) forward={forward}");
+                }
+            }
+        }
+        picked
+    }
+
+    #[test]
+    fn level_step_directions_collect_identical_edges() {
+        let fx = Fixture::figure4();
+        let pairs: Vec<_> = (1..15u32)
+            .flat_map(|u| (1..15u32).filter(move |&v| v != u).map(move |v| (u, v)))
+            .collect();
+        let figure4 = assert_directions_agree(&fx.owned, &pairs);
+
+        let grid = QbsIndex::build(
+            qbs_gen::structured::grid(12, 12),
+            QbsConfig::with_landmark_count(4),
+        );
+        let pairs: Vec<_> = (0..144u32)
+            .step_by(7)
+            .flat_map(|u| {
+                (0..144u32)
+                    .step_by(11)
+                    .filter(move |&v| v != u)
+                    .map(move |v| (u, v))
+            })
+            .collect();
+        let on_grid = assert_directions_agree(&grid, &pairs);
+        // The cost rule takes both directions, so both were compared.
+        for picked in [figure4, on_grid] {
+            assert!(picked[0] > 0 && picked[1] > 0, "picked {picked:?}");
+        }
     }
 
     /// Exact answer via two BFSs (kept local to avoid a dev-dependency cycle

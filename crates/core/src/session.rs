@@ -605,6 +605,15 @@ impl IndexStore for Qbs {
     }
 
     #[inline]
+    fn degree(&self, v: VertexId) -> usize {
+        match &self.backend {
+            QbsBackend::Owned(s) => s.degree(v),
+            QbsBackend::View(s) => s.degree(v),
+            QbsBackend::Compact(s) => s.degree(v),
+        }
+    }
+
+    #[inline]
     fn meta_distance(&self, i: usize, j: usize) -> Distance {
         match &self.backend {
             QbsBackend::Owned(s) => s.meta_distance(i, j),

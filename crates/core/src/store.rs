@@ -78,6 +78,11 @@ pub trait IndexStore: Sync {
     /// Calls `visit` for every neighbour of `v` in the **full** graph.
     fn for_each_neighbor<F: FnMut(VertexId)>(&self, v: VertexId, visit: F);
 
+    /// The number of neighbours of `v` in the **full** graph: exactly the
+    /// calls [`IndexStore::for_each_neighbor`] makes. The path-graph walk
+    /// sums it to pick the cheaper scan direction per level.
+    fn degree(&self, v: VertexId) -> usize;
+
     /// `d_M(i, j)`: the meta-graph shortest-path distance between landmark
     /// columns.
     fn meta_distance(&self, i: usize, j: usize) -> Distance;
@@ -222,6 +227,11 @@ impl IndexStore for ViewStore {
     }
 
     #[inline]
+    fn degree(&self, v: VertexId) -> usize {
+        self.view.graph_degree(v)
+    }
+
+    #[inline]
     fn meta_distance(&self, i: usize, j: usize) -> Distance {
         self.view.meta_distance(i, j)
     }
@@ -320,6 +330,11 @@ impl IndexStore for CompactStore {
         for w in self.view.graph_neighbors(v) {
             visit(w);
         }
+    }
+
+    #[inline]
+    fn degree(&self, v: VertexId) -> usize {
+        self.view.graph_degree(v)
     }
 
     #[inline]
@@ -548,6 +563,50 @@ mod tests {
                 .filter(|w| ![1, 2, 3].contains(w))
                 .collect();
             assert_eq!(got, expected, "sparsified neighbours of {v}");
+        }
+    }
+
+    /// `degree` counts exactly the calls `for_each_neighbor` makes, for
+    /// every vertex of the owned, v2 and v3 stores of `owned`.
+    fn assert_degrees_exact(owned: &QbsIndex) {
+        fn check<S: IndexStore>(store: &S, name: &str) {
+            for v in 0..store.num_vertices() as VertexId {
+                let mut count = 0;
+                store.for_each_neighbor(v, |_| count += 1);
+                assert_eq!(store.degree(v), count, "{name} degree of {v}");
+            }
+        }
+        check(owned, "owned");
+        check(&ViewStore::new(owned.as_view()), "v2");
+        let compact = owned.as_compact_view().expect("serialise v3");
+        check(&CompactStore::new(compact), "v3");
+    }
+
+    #[test]
+    fn degree_counts_neighbors_on_every_store() {
+        assert_degrees_exact(&index());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig { cases: 24, ..Default::default() })]
+
+        // Hubs on a few hundred vertices have neighbour gaps past 127,
+        // so v3 rows mix one-, two- and three-byte varints.
+        #[test]
+        fn degree_counts_neighbors_on_generated_graphs(
+            vertices in 2usize..700,
+            edges_per_vertex in 1usize..6,
+            landmarks in 1usize..5,
+            seed in 0u64..1_000,
+        ) {
+            use qbs_gen::prelude::*;
+            let graph = barabasi_albert::generate(&BarabasiAlbertConfig {
+                vertices,
+                edges_per_vertex,
+                seed,
+            });
+            let owned = QbsIndex::build(graph, QbsConfig::with_landmark_count(landmarks));
+            assert_degrees_exact(&owned);
         }
     }
 }

@@ -1,9 +1,9 @@
 //! Reusable, epoch-stamped per-query scratch state.
 //!
 //! A [`QueryWorkspace`] owns every piece of mutable state the online query
-//! path needs — the two bidirectional-search sides, the visited sets and
-//! stacks of the reverse/recover walks, the label buffers fed to the
-//! sketcher, and a scratch vertex filter for landmark-endpoint queries.
+//! path needs — the two bidirectional-search sides, the seeds and level
+//! buffers of the path-graph walks, the label buffers fed to the sketcher,
+//! and a scratch vertex filter for landmark-endpoint queries.
 //! All per-vertex structures are epoch-stamped
 //! ([`qbs_graph::workspace`]), so preparing the workspace for the next
 //! query is O(1): a handful of `clear()`s on small vectors plus one epoch
@@ -129,6 +129,19 @@ impl SideState {
     }
 }
 
+/// The level-synchronous walks that build a path graph: the DAG walk of a
+/// search side up its BFS levels, and the label walk of a sketch hop down
+/// to its landmark.
+#[derive(Debug, Default)]
+pub(crate) struct LevelWalk {
+    /// Vertices the current walk has reached, on any level.
+    pub(crate) reached: VisitedSet,
+    /// The reached vertices of the level the walk stands on.
+    pub(crate) marked: Vec<VertexId>,
+    /// The vertices of the next level, collected by the current step.
+    pub(crate) next: Vec<VertexId>,
+}
+
 /// Per-batch, epoch-stamped memo of effective labels: the batch execution
 /// planner fetches each endpoint's label once per batch instead of once
 /// per query the endpoint appears in.
@@ -206,18 +219,16 @@ pub struct QueryWorkspace {
     pub(crate) shared_fwd: SideState,
     /// Per-batch effective-label memo (planner only).
     pub(crate) label_memo: LabelMemo,
-    /// Visited set for the reverse-search walks.
-    pub(crate) visited: VisitedSet,
-    /// Vertex stack for the reverse-search and depth walks.
-    pub(crate) stack: Vec<VertexId>,
-    /// Visited set for the label/depth walks of the recover search.
-    pub(crate) walk_visited: VisitedSet,
-    /// `(vertex, remaining distance)` stack for label walks.
-    pub(crate) walk_stack: Vec<(VertexId, Distance)>,
-    /// Meeting vertices of the bidirectional search.
-    pub(crate) meeting: Vec<VertexId>,
-    /// Edge accumulator for the answer under construction.
-    pub(crate) edges: Vec<(VertexId, VertexId)>,
+    /// Path-graph walk seeds of the forward side: the meeting vertices
+    /// and the recover vertices `Z` of every source hop.
+    pub(crate) fwd_seeds: Vec<VertexId>,
+    /// Path-graph walk seeds of the backward side: the meeting vertices
+    /// and the recover vertices `Z` of every target hop.
+    pub(crate) bwd_seeds: Vec<VertexId>,
+    /// Level buffers of the DAG and label walks.
+    pub(crate) walk: LevelWalk,
+    /// Edges of the answer under construction, with duplicates.
+    pub(crate) answer_edges: Vec<(VertexId, VertexId)>,
     /// Scratch filter for the rare landmark-endpoint queries.
     pub(crate) scratch_filter: VertexFilter,
     /// Effective-label buffer for the query source.
@@ -243,8 +254,7 @@ impl QueryWorkspace {
         let mut ws = Self::new();
         ws.fwd.depth.reset(n);
         ws.bwd.depth.reset(n);
-        ws.visited.reset(n);
-        ws.walk_visited.reset(n);
+        ws.walk.reached.reset(n);
         ws
     }
 
@@ -296,6 +306,6 @@ mod tests {
         let ws = QueryWorkspace::for_vertices(64);
         assert_eq!(ws.queries_served(), 0);
         assert!(ws.fwd.depth.capacity() >= 64);
-        assert!(ws.walk_visited.capacity() >= 64);
+        assert!(ws.walk.reached.capacity() >= 64);
     }
 }

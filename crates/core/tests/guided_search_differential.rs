@@ -1,21 +1,41 @@
 //! Differential tests of the full QbS pipeline against the ground-truth
 //! oracle on catalog stand-ins, structured graphs and random graphs, across
-//! landmark strategies and counts.
+//! landmark strategies and counts. Every pair is answered through the
+//! owned, wide-view (v2) and compact (v3) stores.
 
 use qbs_baselines::{GroundTruth, SpgEngine};
 use qbs_core::labelling::MAX_LABEL_DISTANCE;
-use qbs_core::{LandmarkStrategy, Qbs, QbsConfig, QbsError, QbsIndex};
+use qbs_core::{
+    query_on, CompactStore, IndexStore, LandmarkStrategy, Qbs, QbsConfig, QbsError, QbsIndex,
+    QueryWorkspace, ViewStore,
+};
 use qbs_gen::catalog::{Catalog, DatasetId, Scale};
 use qbs_gen::prelude::*;
 use qbs_gen::structured;
-use qbs_graph::{Graph, VertexId, INFINITE_DISTANCE};
+use qbs_graph::{Graph, GraphBuilder, VertexId, INFINITE_DISTANCE};
 
+/// Answers every sampled pair through the owned, wide-view (v2) and
+/// compact (v3) stores and compares each answer with the BFS oracle.
 fn check(graph: &Graph, config: QbsConfig, queries: usize, seed: u64, tag: &str) {
     let index = QbsIndex::build(graph.clone(), config);
+    let view = ViewStore::new(index.as_view());
+    let compact = CompactStore::new(index.as_compact_view().expect("serialise v3"));
     let truth = GroundTruth::new(graph.clone());
     let workload = QueryWorkload::sample(graph, queries, seed);
-    for &(u, v) in workload.pairs() {
-        let answer = index.query_with_stats(u, v).unwrap();
+    check_store(&index, &truth, workload.pairs(), &format!("{tag} owned"));
+    check_store(&view, &truth, workload.pairs(), &format!("{tag} v2"));
+    check_store(&compact, &truth, workload.pairs(), &format!("{tag} v3"));
+}
+
+fn check_store<S: IndexStore>(
+    store: &S,
+    truth: &GroundTruth,
+    pairs: &[(VertexId, VertexId)],
+    tag: &str,
+) {
+    let mut ws = QueryWorkspace::new();
+    for &(u, v) in pairs {
+        let answer = query_on(store, &mut ws, u, v).unwrap();
         let expected = truth.query(u, v);
         assert_eq!(answer.path_graph, expected, "{tag}: query ({u},{v})");
         // The per-query statistics must be internally consistent.
@@ -38,6 +58,68 @@ fn check(graph: &Graph, config: QbsConfig, queries: usize, seed: u64, tag: &str)
             );
         }
     }
+}
+
+/// A hub joined to `stars` star centres, each with `leaves` leaves; leaf
+/// `j` of star `i` is also joined to leaf `j` of star `i + 1` (mod
+/// `stars`), so leaf pairs have many shortest paths through the centres.
+fn star_of_stars(stars: usize, leaves: usize) -> Graph {
+    let centre = |i: usize| (1 + i) as VertexId;
+    let leaf = |i: usize, j: usize| (1 + stars + i * leaves + j) as VertexId;
+    let mut b = GraphBuilder::new();
+    for i in 0..stars {
+        b.add_edge(0, centre(i));
+        for j in 0..leaves {
+            b.add_edge(centre(i), leaf(i, j));
+            b.add_edge(leaf(i, j), leaf((i + 1) % stars, j));
+        }
+    }
+    b.build()
+}
+
+#[test]
+fn qbs_is_exact_on_hub_heavy_graphs_with_few_landmarks() {
+    // Few landmarks leave large-degree hubs in G⁻, so recover vertices
+    // have large degree. Scanning them bottom-up would cost more than the
+    // small levels above them, and most walk steps go top-down here.
+    let stars = star_of_stars(12, 60);
+    for count in [1usize, 2] {
+        check(
+            &stars,
+            QbsConfig::with_landmark_count(count),
+            40,
+            count as u64,
+            "star of stars",
+        );
+    }
+    let ba = barabasi_albert::generate(&BarabasiAlbertConfig {
+        vertices: 2_000,
+        edges_per_vertex: 3,
+        seed: 21,
+    });
+    for count in [1usize, 3] {
+        check(
+            &ba,
+            QbsConfig::with_landmark_count(count),
+            40,
+            count as u64,
+            "hub-heavy BA",
+        );
+    }
+}
+
+#[test]
+fn qbs_is_exact_on_a_wide_level_grid() {
+    // A 40×40 grid has wide BFS levels and a narrow marked set, so most
+    // path-graph walk steps go bottom-up, and top-down wins only next to
+    // an endpoint.
+    check(
+        &structured::grid(40, 40),
+        QbsConfig::with_landmark_count(6),
+        40,
+        4,
+        "grid 40x40",
+    );
 }
 
 #[test]

@@ -56,16 +56,18 @@ impl PathGraph {
     where
         I: IntoIterator<Item = (VertexId, VertexId)>,
     {
-        let set: BTreeSet<(VertexId, VertexId)> = edges
+        let mut edges: Vec<(VertexId, VertexId)> = edges
             .into_iter()
             .filter(|&(a, b)| a != b)
             .map(|(a, b)| if a <= b { (a, b) } else { (b, a) })
             .collect();
+        edges.sort_unstable();
+        edges.dedup();
         PathGraph {
             source,
             target,
             distance,
-            edges: set.into_iter().collect(),
+            edges,
         }
     }
 
@@ -171,6 +173,26 @@ impl PathGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+        #[test]
+        fn from_edges_matches_a_btreeset_reference(
+            raw in prop::collection::vec((0u32..24, 0u32..24), 0..96),
+        ) {
+            let reference: Vec<(VertexId, VertexId)> = raw
+                .iter()
+                .filter(|&&(a, b)| a != b)
+                .map(|&(a, b)| (a.min(b), a.max(b)))
+                .collect::<BTreeSet<_>>()
+                .into_iter()
+                .collect();
+            let answer = PathGraph::from_edges(0, 1, 3, raw.iter().copied());
+            prop_assert_eq!(answer.edges(), reference.as_slice());
+        }
+    }
 
     #[test]
     fn canonicalises_edges() {
